@@ -6,9 +6,14 @@
 //! ([`RangeEngine::estimate`]), and routes to the argmin. Because the
 //! analytic model has systematic error (it ignores constants, tree-node
 //! overheads, and a structure's real boundary handling), the router keeps
-//! one EWMA correction ratio per engine — observed cost (from
-//! [`AccessStats::total_accesses`]) over predicted — and multiplies it
-//! into future predictions, so routing decisions tighten as queries flow.
+//! one EWMA correction ratio per *(engine, operation)* — observed cost
+//! (from [`AccessStats::total_accesses`]) over predicted — and multiplies
+//! it into future predictions of that operation, so routing decisions
+//! tighten as queries flow. The ratios are per operation because one
+//! engine's estimate can be honest for one op and far off for another
+//! (a [`crate::CubeIndex`] without a min tree predicts 2^d cells for a
+//! range min it answers by a full scan); a shared ratio would let the
+//! scans inflate the engine's sum predictions too.
 //!
 //! [`AdaptiveRouter::explain`] exposes the whole decision: every
 //! candidate's raw and calibrated prediction, the chosen route, and the
@@ -200,7 +205,8 @@ pub struct Candidate {
     pub label: String,
     /// Raw analytic estimate (paper units, elements accessed).
     pub raw: f64,
-    /// The engine's current EWMA observed/predicted ratio.
+    /// The engine's current EWMA observed/predicted ratio for the
+    /// operation being routed.
     pub ratio: f64,
     /// `raw × ratio` — what the router actually compares.
     pub calibrated: f64,
@@ -331,12 +337,27 @@ struct EngineSet<V> {
     _guard: EpochGuard,
 }
 
+/// One calibration slot per [`EngineOp`] variant (`op as usize`); the
+/// `Update` slot is never observed and stays at 1.0.
+const OPS: usize = EngineOp::Update as usize + 1;
+
+/// Engine `i`'s EWMA ratio for `op`; 1.0 (the uncalibrated analytic
+/// model) for an index outside the set.
+fn ratio_of(ratios: &[[f64; OPS]], i: usize, op: EngineOp) -> f64 {
+    ratios
+        .get(i)
+        .and_then(|r| r.get(op as usize))
+        .copied()
+        .unwrap_or(1.0)
+}
+
 /// The router's mutable bookkeeping, guarded by one mutex held only for
 /// short decision/feedback sections — never across a dispatched query.
 struct RouterState {
-    /// Per-engine EWMA of observed/predicted; starts at 1.0 (trust the
-    /// analytic model until evidence arrives).
-    ratios: Vec<f64>,
+    /// Per-(engine, op) EWMA of observed/predicted, `ratios[engine][op as
+    /// usize]`; starts at 1.0 (trust the analytic model until evidence
+    /// arrives).
+    ratios: Vec<[f64; OPS]>,
     /// EWMA smoothing factor.
     alpha: f64,
     /// Bumped whenever an EWMA ratio actually moves; half of the
@@ -381,7 +402,7 @@ impl RouterState {
                 return c.chosen;
             }
         }
-        let predictions = predictions(set, &self.ratios, query, op);
+        let predictions: Vec<Prediction> = predictions(set, &self.ratios, query, op).collect();
         let chosen = choose(&predictions);
         self.cache = Some(CachedDecision {
             query: query.clone(),
@@ -394,21 +415,25 @@ impl RouterState {
         chosen
     }
 
-    /// Feeds one observation into engine `i`'s EWMA ratio. Skipped when the
-    /// raw prediction is non-finite or non-positive (nothing to scale), or
-    /// when the sample equals the current ratio — the EWMA's fixed point,
-    /// where applying the update would only add rounding drift.
-    fn observe(&mut self, i: usize, raw: f64, observed: u64) {
+    /// Feeds one observation into engine `i`'s EWMA ratio for `op`.
+    /// Skipped when the raw prediction is non-finite or non-positive
+    /// (nothing to scale), or when the sample equals the current ratio —
+    /// the EWMA's fixed point, where applying the update would only add
+    /// rounding drift.
+    fn observe(&mut self, i: usize, op: EngineOp, raw: f64, observed: u64) {
         if !raw.is_finite() || raw <= 0.0 {
             return;
         }
+        let Some(ratio) = self.ratios.get_mut(i).and_then(|r| r.get_mut(op as usize)) else {
+            return;
+        };
         let sample = observed as f64 / raw;
-        if sample.to_bits() == self.ratios[i].to_bits() {
+        if sample.to_bits() == ratio.to_bits() {
             return;
         }
-        let next = (1.0 - self.alpha) * self.ratios[i] + self.alpha * sample;
-        if next.to_bits() != self.ratios[i].to_bits() {
-            self.ratios[i] = next;
+        let next = (1.0 - self.alpha) * *ratio + self.alpha * sample;
+        if next.to_bits() != ratio.to_bits() {
+            *ratio = next;
             self.calibration_gen = self.calibration_gen.wrapping_add(1);
         }
     }
@@ -442,34 +467,29 @@ impl RouterState {
 }
 
 /// The label-free estimate sweep against one engine-set snapshot: raw
-/// estimate, current ratio, calibrated prediction, and eligibility per
-/// engine.
-fn predictions<V>(
-    set: &EngineSet<V>,
-    ratios: &[f64],
-    query: &RangeQuery,
+/// estimate, current per-op ratio, calibrated prediction, and eligibility
+/// per engine.
+fn predictions<'a, V>(
+    set: &'a EngineSet<V>,
+    ratios: &'a [[f64; OPS]],
+    query: &'a RangeQuery,
     op: EngineOp,
-) -> Vec<Prediction> {
-    set.engines
-        .iter()
-        .enumerate()
-        .map(|(index, e)| {
-            let eligible = e.capabilities().supports(op);
-            let raw = if eligible {
-                e.estimate(query)
-            } else {
-                f64::INFINITY
-            };
-            // analyzer: allow(panic-site, reason = "index comes from enumerating the engine set; ratios is kept parallel by push()")
-            let ratio = ratios[index];
-            Prediction {
-                raw,
-                ratio,
-                calibrated: raw * ratio,
-                eligible,
-            }
-        })
-        .collect()
+) -> impl Iterator<Item = Prediction> + 'a {
+    set.engines.iter().enumerate().map(move |(index, e)| {
+        let eligible = e.capabilities().supports(op);
+        let raw = if eligible {
+            e.estimate(query)
+        } else {
+            f64::INFINITY
+        };
+        let ratio = ratio_of(ratios, index, op);
+        Prediction {
+            raw,
+            ratio,
+            calibrated: raw * ratio,
+            eligible,
+        }
+    })
 }
 
 /// Argmin of the calibrated predictions among eligible candidates.
@@ -688,7 +708,7 @@ impl<V> AdaptiveRouter<V> {
         engines.push(Arc::from(engine));
         self.install(engines, cur.approx.clone());
         let mut st = self.lock_state();
-        st.ratios.push(1.0);
+        st.ratios.push([1.0; OPS]);
         st.healths.push(Health::default());
     }
 
@@ -811,10 +831,13 @@ impl<V> AdaptiveRouter<V> {
         self.tracker.stats()
     }
 
-    /// The current EWMA observed/predicted ratios, parallel to
+    /// The current EWMA observed/predicted ratios for `op`, parallel to
     /// [`AdaptiveRouter::labels`].
-    pub fn calibration(&self) -> Vec<f64> {
-        self.lock_state().ratios.clone()
+    pub fn calibration(&self, op: EngineOp) -> Vec<f64> {
+        let st = self.lock_state();
+        (0..st.ratios.len())
+            .map(|i| ratio_of(&st.ratios, i, op))
+            .collect()
     }
 
     /// A pinned handle to engine `i` in the current snapshot.
@@ -833,8 +856,23 @@ impl<V> AdaptiveRouter<V> {
     pub fn candidates(&self, query: &RangeQuery, op: EngineOp) -> Vec<Candidate> {
         let set = self.load();
         let st = self.lock_state();
-        let preds = predictions(&set, &st.ratios, query, op);
+        let preds: Vec<Prediction> = predictions(&set, &st.ratios, query, op).collect();
         label_predictions(&set, &preds, &st.healths)
+    }
+
+    /// The cheapest calibrated prediction among eligible engines for
+    /// `query`/`op` — [`AdaptiveRouter::candidates`] reduced to its
+    /// minimum without formatting labels or allocating, for pricing on
+    /// hot paths (the semantic cache's assembly decision). Breaker state
+    /// is not applied, as in the candidate table. `f64::INFINITY` when no
+    /// engine is eligible.
+    pub(crate) fn cheapest_calibrated(&self, query: &RangeQuery, op: EngineOp) -> f64 {
+        let set = self.load();
+        let st = self.lock_state();
+        predictions(&set, &st.ratios, query, op)
+            .filter(|p| p.eligible)
+            .map(|p| p.calibrated)
+            .fold(f64::INFINITY, f64::min)
     }
 
     /// Dispatches one attempt to engine `i` of the pinned set with the
@@ -975,11 +1013,11 @@ impl<V> AdaptiveRouter<V> {
                 Ok(outcome) => {
                     let mut st = self.lock_state();
                     st.note_success(i);
-                    st.observe(i, p.raw, outcome.cost());
+                    st.observe(i, op, p.raw, outcome.cost());
                     #[cfg(feature = "telemetry")]
                     if let Some((ctx, start)) = observing {
-                        // analyzer: allow(panic-site, reason = "ratios is kept parallel to the engine set by push(); i enumerates that set")
-                        record_route(&ctx, start, &set, i, op, p, st.ratios[i], &outcome);
+                        let ratio = ratio_of(&st.ratios, i, op);
+                        record_route(&ctx, start, &set, i, op, p, ratio, &outcome);
                     }
                     return Ok((i, p.calibrated, outcome));
                 }
@@ -1310,8 +1348,8 @@ fn record_fault_event<V>(set: &EngineSet<V>, event: &'static str, i: usize, op: 
 }
 
 /// Records one routed execution: route-choice counter, the chosen
-/// engine's post-observation EWMA ratio, the calibration drift, and a
-/// flight record.
+/// engine's post-observation EWMA ratio for `op`, the calibration drift,
+/// and a flight record.
 #[cfg(feature = "telemetry")]
 #[allow(clippy::too_many_arguments)]
 fn record_route<V>(
@@ -1334,8 +1372,11 @@ fn record_route<V>(
         &[("engine", &label), ("op", op.name())],
     )
     .inc(1);
-    reg.gauge("olap_router_ratio", &[("engine", &label)])
-        .set(ratio_after);
+    reg.gauge(
+        "olap_router_ratio",
+        &[("engine", &label), ("op", op.name())],
+    )
+    .set(ratio_after);
     if p.calibrated.is_finite() && p.calibrated > 0.0 {
         let drift = ((observed as f64 / p.calibrated) - 1.0).abs() * 1000.0;
         reg.histogram("olap_router_drift_permille", &[("engine", &label)])
@@ -1464,11 +1505,11 @@ mod tests {
     #[test]
     fn calibration_moves_toward_observed() {
         let r = router();
-        assert!(r.calibration().iter().all(|&x| x == 1.0));
+        assert!(r.calibration(EngineOp::Sum).iter().all(|&x| x == 1.0));
         let query = q(&[(0, 63), (0, 31)]);
         let out = r.range_sum(&query).unwrap();
         let cands = r.candidates(&query, EngineOp::Sum);
-        let calibration = r.calibration();
+        let calibration = r.calibration(EngineOp::Sum);
         let chosen: Vec<_> = calibration
             .iter()
             .enumerate()
@@ -1479,6 +1520,10 @@ mod tests {
         let expected =
             (1.0 - DEFAULT_ALPHA) + DEFAULT_ALPHA * out.cost() as f64 / cands[i].raw * 1.0;
         assert!((ratio - expected).abs() < 1e-12);
+        // A sum observation calibrates sums only.
+        for op in [EngineOp::Max, EngineOp::Min] {
+            assert!(r.calibration(op).iter().all(|&x| x == 1.0), "{op}");
+        }
     }
 
     #[test]
@@ -1674,6 +1719,17 @@ mod tests {
             })
             .sum();
         assert_eq!(routes, 3, "one route-choice count per executed query");
+        // Calibration gauges are per (engine, op).
+        let ratio_ops: std::collections::BTreeSet<&str> = snap
+            .iter()
+            .filter(|m| m.name == "olap_router_ratio")
+            .filter_map(|m| m.label("op"))
+            .collect();
+        assert_eq!(
+            ratio_ops,
+            ["range_max", "range_sum"].into_iter().collect(),
+            "{snap:?}"
+        );
         // Engine-level series exist for the engines that answered.
         assert!(
             snap.iter()

@@ -111,11 +111,7 @@ impl<V> CacheBackend<V> for AdaptiveRouter<V> {
     }
 
     fn estimate(&self, query: &RangeQuery) -> f64 {
-        self.candidates(query, EngineOp::Sum)
-            .iter()
-            .filter(|c| c.eligible)
-            .map(|c| c.calibrated)
-            .fold(f64::INFINITY, f64::min)
+        self.cheapest_calibrated(query, EngineOp::Sum)
     }
 
     fn range_sum(&self, query: &RangeQuery) -> Result<QueryOutcome<V>, EngineError> {

@@ -10,7 +10,7 @@
 
 use olap_array::{DenseArray, Parallelism, Region, Shape};
 use olap_engine::{
-    AdaptiveRouter, CubeIndex, IndexConfig, NaiveEngine, PrefixChoice, SumTreeEngine,
+    AdaptiveRouter, CubeIndex, EngineOp, IndexConfig, NaiveEngine, PrefixChoice, SumTreeEngine,
 };
 use olap_prefix_sum::batch::{
     apply_batch, apply_batch_blocked, apply_batch_blocked_par, apply_batch_par, CellUpdate,
@@ -236,8 +236,10 @@ proptest! {
                 pe.outcome.value().map(|v| v.to_bits())
             );
             // Post-observation calibration state must match bit-for-bit.
-            let sr: Vec<u64> = seq.calibration().iter().map(|r| r.to_bits()).collect();
-            let pr: Vec<u64> = par.calibration().iter().map(|r| r.to_bits()).collect();
+            let bits = |r: &AdaptiveRouter<f64>| -> Vec<u64> {
+                r.calibration(EngineOp::Sum).iter().map(|x| x.to_bits()).collect()
+            };
+            let (sr, pr) = (bits(&seq), bits(&par));
             prop_assert_eq!(sr, pr);
         }
     }

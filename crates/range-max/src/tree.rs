@@ -137,9 +137,7 @@ impl<O: TotalOrder> MaxTree<O> {
         let shape = a.shape().clone();
         let levels = build_levels(&shape, b, |child_shape, child, parent_shape| {
             let child_of = child.map(|l| &*l.max_index);
-            (0..parent_shape.len())
-                .map(|p| node_max(a, &order, child_shape, child_of, parent_shape, b, p))
-                .collect()
+            level_max(a, &order, child_shape, child_of, parent_shape, b)
         })?;
         Ok(MaxTree {
             order,
@@ -177,9 +175,7 @@ impl<O: TotalOrder> MaxTree<O> {
             let n_out = parent_shape.len();
             let workers = par.workers_for(n_out);
             if workers <= 1 {
-                return (0..n_out)
-                    .map(|p| node_max(a, &order, child_shape, child_of, parent_shape, b, p))
-                    .collect();
+                return level_max(a, &order, child_shape, child_of, parent_shape, b);
             }
             let piece = n_out.div_ceil(workers);
             let chunks: Vec<core::ops::Range<usize>> = (0..n_out)
@@ -414,11 +410,62 @@ fn build_levels(
     Ok(levels)
 }
 
-/// The per-node kernel shared by both builds: gathers the argmax (as a flat
-/// `A` index) over one parent node's children, visiting them in row-major
-/// order of the child region with strict first-max-wins comparisons —
-/// exactly the per-parent subsequence of the original whole-level scatter
-/// walk, so both formulations pick identical indices even among ties.
+/// The sequential whole-level kernel: one row-major walk over the child
+/// level that folds every child into its parent with strict
+/// first-max-wins comparisons. Each child is read once and no per-node
+/// region or iterator is built, unlike [`node_max`]. Restricted to one
+/// parent, the walk visits that parent's children in the row-major order
+/// of its child region — [`node_max`]'s order — so both kernels pick
+/// identical indices even among ties.
+fn level_max<O: TotalOrder>(
+    a: &DenseArray<O::Value>,
+    order: &O,
+    child_shape: &Shape,
+    child_of: Option<&[usize]>,
+    parent_shape: &Shape,
+    b: usize,
+) -> Box<[usize]> {
+    let mut best = vec![usize::MAX; parent_shape.len()];
+    let Some((&width, outer)) = child_shape.dims().split_last() else {
+        return best.into_boxed_slice();
+    };
+    let parent_strides = parent_shape.strides();
+    // Odometer over every axis but the last: the current child row.
+    let mut row = vec![0usize; outer.len()];
+    for first in (0..child_shape.len()).step_by(width.max(1)) {
+        // Flat index of the parent holding the row's first child.
+        let base: usize = row
+            .iter()
+            .zip(parent_strides)
+            .map(|(&x, &s)| x / b * s)
+            .sum();
+        for c in 0..width {
+            let child = first + c;
+            let cand = match child_of {
+                None => Some(child), // children are cells of A
+                Some(m) => m.get(child).copied(),
+            };
+            if let (Some(cand), Some(slot)) = (cand, best.get_mut(base + c / b)) {
+                if *slot == usize::MAX || order.gt(a.get_flat(cand), a.get_flat(*slot)) {
+                    *slot = cand;
+                }
+            }
+        }
+        for (x, &n) in row.iter_mut().zip(outer).rev() {
+            *x += 1;
+            if *x < n {
+                break;
+            }
+            *x = 0;
+        }
+    }
+    best.into_boxed_slice()
+}
+
+/// The per-node kernel of the threaded build: gathers the argmax (as a
+/// flat `A` index) over one parent node's children, visiting them in
+/// row-major order of the child region with strict first-max-wins
+/// comparisons — the same choices [`level_max`] makes for that node.
 fn node_max<O: TotalOrder>(
     a: &DenseArray<O::Value>,
     order: &O,
@@ -578,6 +625,35 @@ mod tests {
                     assert_eq!(lp.shape, ls.shape, "b = {b}, {par:?}");
                     assert_eq!(lp.max_index, ls.max_index, "b = {b}, {par:?}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn level_kernel_matches_the_per_node_kernel() {
+        // Few distinct values force ties at every node; ragged extents
+        // leave partial nodes on every boundary.
+        for dims in [&[14][..], &[9, 6], &[7, 5, 3], &[2, 11, 1, 4]] {
+            let shape = Shape::new(dims).unwrap();
+            let a = DenseArray::from_fn(shape.clone(), |i| {
+                (i.iter()
+                    .enumerate()
+                    .map(|(k, &x)| (k + 3) * x)
+                    .sum::<usize>()
+                    % 3) as i64
+            });
+            for b in [2usize, 3, 4] {
+                let order = NaturalOrder::<i64>::new();
+                build_levels(&shape, b, |child_shape, child, parent_shape| {
+                    let child_of = child.map(|l| &*l.max_index);
+                    let level = level_max(&a, &order, child_shape, child_of, parent_shape, b);
+                    let nodes: Vec<usize> = (0..parent_shape.len())
+                        .map(|p| node_max(&a, &order, child_shape, child_of, parent_shape, b, p))
+                        .collect();
+                    assert_eq!(&*level, &nodes[..], "{dims:?}, b = {b}");
+                    level
+                })
+                .unwrap();
             }
         }
     }

@@ -20,6 +20,16 @@
 //! per shard, and every update installs an immutable snapshot, so worker
 //! reads are never blocked by a writer.
 //!
+//! # Shard engines
+//!
+//! Each shard router holds two engines. A [`CubeIndex`] answers all three
+//! reads: range sums by Theorem 1's 2^d-cell prefix gather, range maxima
+//! by the §6 tree, and range minima by the same tree under the reversed
+//! order (both trees fanout 4). An un-faulted [`NaiveEngine`] is the
+//! failover anchor. The router calibrates each *(engine, op)* pair on
+//! its own, so every op stays on its structure; a tree-sum engine would
+//! never win a sum against the prefix gather and is not built.
+//!
 //! # Semantic caching
 //!
 //! Each shard worker answers sums through a per-shard
@@ -51,7 +61,7 @@ use olap_array::{DegradePolicy, DenseArray, QueryBudget, Region, Shape};
 use olap_engine::{
     AdaptiveRouter, ApproxEngine, CacheBackend, CacheStats, CubeIndex, DegradeReason, EngineError,
     EngineOp, EpochStats, FaultPlan, FaultyEngine, IndexConfig, NaiveEngine, RangeEngine,
-    SemanticCache, SumTreeEngine,
+    SemanticCache,
 };
 use olap_query::algebra::{bounding_union, difference};
 use olap_query::{AccessStats, Answer, Estimate, QueryOutcome, RangeQuery};
@@ -66,7 +76,7 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Per-query budget every shard router admits queries under.
     pub budget: QueryBudget,
-    /// Optional fault injection: wraps each shard's precomputed engines
+    /// Optional fault injection: wraps each shard's precomputed engine
     /// (never the naive fallback) so chaos drills can prove failover and
     /// snapshot installs keep answers exact.
     pub faults: Option<FaultPlan>,
@@ -1138,17 +1148,18 @@ fn build_shard(
         .ok_or_else(|| ServerError::Config(format!("slab {lo}..{hi} out of range")))?;
     let sub = DenseArray::from_vec(local_shape, slab.to_vec())?;
 
-    let precomputed: Vec<Box<dyn RangeEngine<i64>>> = vec![
-        Box::new(CubeIndex::build(sub.clone(), IndexConfig::default())?),
-        Box::new(SumTreeEngine::build(sub.clone(), 4)?),
-    ];
+    // Prefix sum, max tree and min tree in one engine; see "Shard
+    // engines" in the module docs.
+    let index_config = IndexConfig {
+        min_tree_fanout: Some(4),
+        ..IndexConfig::default()
+    };
+    let index: Box<dyn RangeEngine<i64>> = Box::new(CubeIndex::build(sub.clone(), index_config)?);
     let label = format!("shard-{i}");
     let router = AdaptiveRouter::labeled(&label);
-    for engine in precomputed {
-        match &config.faults {
-            Some(plan) => router.push(Box::new(FaultyEngine::new(engine, *plan))),
-            None => router.push(engine),
-        }
+    match &config.faults {
+        Some(plan) => router.push(Box::new(FaultyEngine::new(index, *plan))),
+        None => router.push(index),
     }
     // The degradation tier is built from the same slab snapshot as the
     // exact engines; router updates derive it in lockstep, so estimates

@@ -67,6 +67,61 @@ fn extrema_map_argmax_back_to_global_coordinates() {
     }
 }
 
+/// The row-major-first cell holding the region's minimum.
+fn naive_argmin(a: &DenseArray<i64>, r: &Region) -> Vec<usize> {
+    r.iter_indices()
+        .min_by_key(|i| *a.get(i))
+        .expect("regions are non-empty")
+}
+
+#[test]
+fn served_minima_come_from_the_min_tree_before_and_after_cross_shard_installs() {
+    // Distinct values (7919 is prime to 64·64), so the argmin is unique
+    // and the served `at` must equal the fold's exactly.
+    let shape = Shape::new(&[64, 64]).unwrap();
+    let n = 64 * 64;
+    let mut shadow = DenseArray::from_fn(shape, |i| (i[0] as i64 * 64 + i[1] as i64) * 7919 % n);
+    let srv = CubeServer::build(&shadow, ServeConfig::default()).unwrap();
+    let regions: Vec<Region> = [[(3, 60), (5, 58)], [(0, 63), (0, 63)], [(10, 40), (1, 30)]]
+        .iter()
+        .map(|b| Region::from_bounds(b).unwrap())
+        .collect();
+    let check = |shadow: &DenseArray<i64>| {
+        for r in &regions {
+            let got = srv.range_min(&RangeQuery::from_region(r)).unwrap();
+            assert!(!got.is_degraded(), "{r}");
+            assert!(got.shards > 1, "{r} must span shards");
+            assert_eq!(got.value, naive_min(shadow, r), "{r}");
+            assert_eq!(got.at, Some(naive_argmin(shadow, r)), "{r}");
+            // A scan reads every cell; the §6 tree a small fraction.
+            assert!(
+                got.cost * 8 < r.volume() as u64,
+                "{r}: cost {} of volume {}",
+                got.cost,
+                r.volume()
+            );
+        }
+    };
+    check(&shadow);
+    // One batch spanning all four shards: raise the current global
+    // minimum (the tree must find the runner-up) and plant new distinct
+    // minima in other slabs, so copy-on-write min-tree derives run on
+    // several shards at once.
+    let full = &regions[1];
+    let mut batch = vec![(naive_argmin(&shadow, full), n + 100)];
+    batch.extend([
+        (vec![5, 6], -3),
+        (vec![20, 40], -7),
+        (vec![37, 12], -5),
+        (vec![55, 57], -1),
+    ]);
+    for (idx, v) in &batch {
+        *shadow.get_mut(idx) = *v;
+    }
+    srv.apply_updates(&batch).unwrap();
+    check(&shadow);
+}
+
 #[test]
 fn single_row_cube_clamps_shard_count() {
     let a = cube(&[1, 40], 23);

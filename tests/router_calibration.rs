@@ -5,13 +5,16 @@
 //!    several structures and the §8/§9 cost model.
 //! 2. Replaying a [`QueryLog`] demonstrably tightens the EWMA calibration:
 //!    late predictions track observed access counts better than early ones.
+//!
+//! Calibration is kept per (engine, op), so an engine whose estimate is
+//! far off for one operation keeps its honest predictions for the others.
 
 use olap_cube::array::{DenseArray, Region, Shape};
 use olap_cube::engine::{
-    AdaptiveRouter, CubeIndex, IndexConfig, NaiveEngine, Parallelism, PrefixChoice, RangeEngine,
-    SumTreeEngine,
+    AdaptiveRouter, CubeIndex, EngineOp, IndexConfig, NaiveEngine, Parallelism, PrefixChoice,
+    RangeEngine, SumTreeEngine,
 };
-use olap_cube::query::{QueryLog, RangeQuery};
+use olap_cube::query::{EngineKind, QueryLog, RangeQuery};
 use olap_cube::workload::{sided_regions, uniform_cube, uniform_regions};
 
 /// Router ≤ BOUND × best static engine, in total observed accesses. The
@@ -134,7 +137,7 @@ fn replay_tightens_predicted_vs_observed() {
         "calibration did not tighten: early err {early:.4}, late err {late:.4}"
     );
     // And the learned ratio is no longer the uninformed 1.0.
-    let ratio = router.calibration()[0];
+    let ratio = router.calibration(EngineOp::Sum)[0];
     assert!((ratio - 1.0).abs() > 1e-3, "ratio stayed at 1.0: {ratio}");
 }
 
@@ -162,4 +165,47 @@ fn explain_candidates_match_direct_estimates() {
         .unwrap();
     assert_eq!(explain.chosen, argmin.index);
     assert!(explain.observed() > 0);
+}
+
+/// Range-min scans must not poison the sum route. The default `CubeIndex`
+/// has no min tree, so it predicts 2^d cells for a min it answers by
+/// scanning the whole region; with one ratio shared by every op those
+/// scans inflated its sum predictions until sums left Theorem 1's corner
+/// gather for the tree-sum baseline.
+#[test]
+fn range_min_scans_do_not_poison_the_sum_route() {
+    let shape = Shape::new(&[128, 128]).unwrap();
+    let a = uniform_cube(shape.clone(), 1000, 50);
+    let router: AdaptiveRouter<i64> = AdaptiveRouter::new()
+        .with_engine(Box::new(
+            CubeIndex::build(a.clone(), IndexConfig::default()).unwrap(),
+        ))
+        .with_engine(Box::new(SumTreeEngine::build(a.clone(), 4).unwrap()))
+        .with_engine(Box::new(NaiveEngine::new(a)));
+    let corners = 1u64 << shape.ndim();
+    // Interior boxes only: a box touching the origin needs fewer corners,
+    // and a box of a few cells is cheaper to scan.
+    let regions: Vec<Region> = uniform_regions(&shape, 80, 51)
+        .into_iter()
+        .filter(|r| r.ranges().iter().all(|x| x.lo() > 0) && r.volume() > 16)
+        .collect();
+    let mins = regions.len().div_ceil(2);
+    assert!(mins >= 32, "only {mins} range-min queries in the workload");
+    for (k, region) in regions.iter().enumerate() {
+        let q = RangeQuery::from_region(region);
+        if k % 2 == 0 {
+            router.range_min(&q).unwrap();
+            continue;
+        }
+        let out = router.range_sum(&q).unwrap();
+        let explain = router.explain(&q).unwrap();
+        assert!(
+            explain.chosen_candidate().label.contains("prefix"),
+            "sum {k} left the prefix engine:\n{explain}"
+        );
+        for o in [&out, &explain.outcome] {
+            assert_eq!(o.answered_by, EngineKind::PrefixSum, "sum {k}");
+            assert_eq!(o.cost(), corners, "sum {k}");
+        }
+    }
 }
