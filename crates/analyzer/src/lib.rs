@@ -11,9 +11,9 @@
 //! | `panic-site`      | no panicking construct on a query path reachable from a `RangeEngine` method (PR 4's `catch_unwind` containment must never fire) |
 //! | `atomic-ordering` | every `Ordering::…` carries an `// ordering:` justification; `SeqCst` is a smell |
 //! | `lock-order`      | the guard-held-while-acquiring graph across all `Mutex`/`RwLock` fields is acyclic |
-//! | `feature-gate`    | telemetry-/parallel-gated symbols are referenced only under a matching cfg |
+//! | `feature-gate`    | feature-gated symbols are referenced only under a matching cfg |
 //! | `error-surface`   | pub fns in `olap-engine`/`olap-array` don't silently swallow fallible internals |
-//! | `budget-coverage` | every loop reachable from `range_sum*`/kernel entry points charges the `BudgetMeter` (PR 4's deadlines stay cooperative) |
+//! | `budget-coverage` | every loop reachable from the `range_sum*` entry points charges the `BudgetMeter` (PR 4's deadlines stay cooperative) |
 //! | `pin-across-blocking` | no `VersionCell` read-pin or lock guard live across `send`/`recv`/`join`/`sleep` (PR 6's installs can't stall) |
 //! | `span-discipline` | `PendingSpan`s are consumed on every path; `TraceSpan` never lives in a field (PR 8's thread-local frame stacks) |
 //! | `estimate-isolation` | no call path from `Estimate`-producing fns into `SemanticCache::insert`/`prime` or `Routed::Exact`/`ShardOutcome::Exact` (PR 9's tier separation) |
@@ -21,7 +21,7 @@
 //! The implementation is a hand-written lexer ([`lexer`]), a structural
 //! outline pass ([`outline`]), name-based reachability
 //! ([`reachability`]), a resolved cross-file call graph ([`callgraph`]),
-//! a lightweight intra-fn CFG ([`cfg`]), and token-level rule passes
+//! a lightweight intra-fn CFG ([`mod@cfg`]), and token-level rule passes
 //! ([`rules`]) — no `syn`, no `rustc` internals, nothing to install. Findings are
 //! suppressed either inline (`// analyzer: allow(rule, reason = "…")`,
 //! reason mandatory) or by the checked-in baseline
@@ -81,8 +81,10 @@ pub fn analyze_with(model: &Model, jobs: usize) -> Report {
         // Work-stealing over the pass list; results land in their slot so
         // the collection order never depends on scheduling.
         let next = std::sync::atomic::AtomicUsize::new(0);
-        let slots: Vec<std::sync::Mutex<Vec<Finding>>> =
-            passes.iter().map(|_| std::sync::Mutex::new(Vec::new())).collect();
+        let slots: Vec<std::sync::Mutex<Vec<Finding>>> = passes
+            .iter()
+            .map(|_| std::sync::Mutex::new(Vec::new()))
+            .collect();
         std::thread::scope(|s| {
             for _ in 0..jobs.min(passes.len()) {
                 s.spawn(|| loop {
@@ -141,8 +143,7 @@ pub fn run_check_with(
     baseline_path: &Path,
     jobs: usize,
 ) -> Result<CheckOutcome, String> {
-    let model =
-        Model::scan_workspace_with(root, jobs).map_err(|e| format!("scan failed: {e}"))?;
+    let model = Model::scan_workspace_with(root, jobs).map_err(|e| format!("scan failed: {e}"))?;
     if model.files.is_empty() {
         return Err(format!(
             "no sources found under {} — wrong --root?",

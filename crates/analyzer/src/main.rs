@@ -124,8 +124,7 @@ fn parse_args() -> Result<Args, String> {
 
 /// Reads `analyzer_self_time_ms` out of the checked-in time baseline.
 fn read_time_baseline(path: &std::path::Path) -> Result<u64, String> {
-    let src =
-        std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let src = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let v = olap_analyzer::json::parse(&src).map_err(|e| format!("{}: {e}", path.display()))?;
     v.get("analyzer_self_time_ms")
         .and_then(olap_analyzer::json::Value::as_u64)
@@ -196,7 +195,10 @@ fn main() -> ExitCode {
             );
         }
     }
-    eprintln!("olap-analyzer: analyzer_self_time_ms: {elapsed_ms} (jobs: {})", args.jobs);
+    eprintln!(
+        "olap-analyzer: analyzer_self_time_ms: {elapsed_ms} (jobs: {})",
+        args.jobs
+    );
     let mut time_busted = false;
     if let Some(tb) = &args.time_baseline {
         match read_time_baseline(tb) {

@@ -1,7 +1,7 @@
 //! Rule `budget-coverage`: every loop on a query path charges the meter.
 //!
 //! PR 4's deadlines, access caps, and cancellation are *cooperative*:
-//! `QueryBudget` arms a shared [`BudgetMeter`] and the kernels are
+//! `QueryBudget` arms a shared `BudgetMeter` and the kernels are
 //! expected to call `charge(cells)` / `check()` as they scan. A hot loop
 //! that never touches the meter runs to completion regardless of the
 //! deadline — the budget, the §4 access bounds it enforces, and the
@@ -9,8 +9,8 @@
 //! for that path.
 //!
 //! The rule walks the [call graph](crate::callgraph) forward from the
-//! query entry points (`range_sum*` fns and the `run_indexed*` kernel
-//! executors), and for each reachable function asks the
+//! query entry points (the `range_sum*` fns), and for each reachable
+//! function asks the
 //! [CFG](crate::cfg) for its loops. A loop is **covered** when its body
 //!
 //! * charges or checks a meter directly (`meter.charge(…)`,
@@ -27,10 +27,6 @@ use crate::callgraph::CallGraph;
 use crate::cfg;
 use crate::findings::Finding;
 use crate::model::Model;
-
-/// Query-path roots: the budgeted sum entry points plus the chunked
-/// kernel executors every backend runs through.
-const ROOT_FNS: &[&str] = &["run_indexed", "run_indexed_fallible"];
 
 /// Whether a resolved call site is a direct meter charge/check.
 fn is_charge_site(g: &CallGraph, s: &crate::callgraph::ResolvedSite) -> bool {
@@ -54,12 +50,9 @@ fn is_charge_site(g: &CallGraph, s: &crate::callgraph::ResolvedSite) -> bool {
 
 /// Runs the rule over the model.
 pub fn check(model: &Model, g: &CallGraph) -> Vec<Finding> {
-    // Roots: `range_sum`-family entry points and the kernel executors.
+    // Roots: the `range_sum`-family entry points.
     let roots: Vec<usize> = (0..g.nodes.len())
-        .filter(|&n| {
-            let name = g.nodes[n].name.as_str();
-            name.starts_with("range_sum") || ROOT_FNS.contains(&name)
-        })
+        .filter(|&n| g.nodes[n].name.starts_with("range_sum"))
         .collect();
     if roots.is_empty() {
         return Vec::new();
@@ -76,8 +69,8 @@ pub fn check(model: &Model, g: &CallGraph) -> Vec<Finding> {
     let may_charge = g.callers_closure(&direct);
 
     let mut findings = Vec::new();
-    for n in 0..g.nodes.len() {
-        if !reachable[n] {
+    for (n, &live) in reachable.iter().enumerate() {
+        if !live {
             continue;
         }
         let node = &g.nodes[n];
@@ -89,9 +82,7 @@ pub fn check(model: &Model, g: &CallGraph) -> Vec<Finding> {
             let (la, lb) = lp.body;
             let covered = g.sites(n).iter().any(|s| {
                 let within = la <= s.site.tok && s.site.tok <= lb;
-                within
-                    && (is_charge_site(g, s)
-                        || s.targets.iter().any(|&t| may_charge[t]))
+                within && (is_charge_site(g, s) || s.targets.iter().any(|&t| may_charge[t]))
             });
             if !covered {
                 findings.push(file.finding(
@@ -138,13 +129,11 @@ mod tests {
     fn direct_and_transitive_charges_cover_the_loop() {
         // Direct: the body touches the meter. Transitive: the body calls
         // a helper that charges.
-        let f = run(
-            "impl BudgetMeter {\n  pub fn charge(&self, n: u64) {}\n}\n\
+        let f = run("impl BudgetMeter {\n  pub fn charge(&self, n: u64) {}\n}\n\
              impl Engine {\n  pub fn range_sum(&self, meter: &BudgetMeter) {\n    \
              for i in 0..n { meter.charge(1); }\n    \
              for j in 0..n { step(meter); }\n  }\n}\n\
-             fn step(meter: &BudgetMeter) { meter.charge(1); }\n",
-        );
+             fn step(meter: &BudgetMeter) { meter.charge(1); }\n");
         assert!(f.is_empty(), "{f:?}");
     }
 

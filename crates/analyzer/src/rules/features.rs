@@ -1,11 +1,10 @@
 //! Rule `feature-gate`: gated symbols are referenced only under a
 //! matching `#[cfg(feature = "…")]`.
 //!
-//! The workspace ships four feature combinations
-//! (`±telemetry × ±parallel`) and CI builds them all — but only *some*
-//! legs run the full suite on every PR, so an ungated reference to a
-//! telemetry-only symbol can sit green for days before the no-default
-//! leg trips over it. This rule catches the mistake at `analyze` time in
+//! The workspace ships two feature combinations (`±telemetry`) and CI
+//! builds both — but a developer usually runs only one, so an ungated
+//! reference to a telemetry-only symbol can sit green locally until the
+//! no-default leg trips over it. This rule catches the mistake at `analyze` time in
 //! every configuration:
 //!
 //! 1. **Same-crate**: a symbol defined under `#[cfg(feature = "F")]` —

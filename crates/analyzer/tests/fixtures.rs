@@ -182,8 +182,15 @@ fn budget_coverage_allowed_findings_are_recorded_but_inactive() {
         "crates/engine/src/fx.rs",
         include_str!("fixtures/budget_coverage_allowed.rs"),
     );
-    assert_eq!(all(&r, "budget-coverage").len(), 1, "scan still sees the loop");
-    assert!(active(&r, "budget-coverage").is_empty(), "allow silences it");
+    assert_eq!(
+        all(&r, "budget-coverage").len(),
+        1,
+        "scan still sees the loop"
+    );
+    assert!(
+        active(&r, "budget-coverage").is_empty(),
+        "allow silences it"
+    );
     assert!(active(&r, "malformed-allow").is_empty());
 }
 
@@ -249,7 +256,8 @@ fn span_discipline_positive_flags_leak_and_field() {
     assert_eq!(f.len(), 2, "{f:#?}");
     let msgs: Vec<&str> = f.iter().map(|f| f.message.as_str()).collect();
     assert!(
-        msgs.iter().any(|m| m.contains("not consumed on every path")),
+        msgs.iter()
+            .any(|m| m.contains("not consumed on every path")),
         "{msgs:?}"
     );
     assert!(msgs.iter().any(|m| m.contains("stored in")), "{msgs:?}");
@@ -290,7 +298,8 @@ fn estimate_isolation_positive_flags_cache_and_exact_sinks() {
     assert_eq!(f.len(), 2, "{f:#?}");
     let msgs: Vec<&str> = f.iter().map(|f| f.message.as_str()).collect();
     assert!(
-        msgs.iter().any(|m| m.contains("SemanticCache::insert") && m.contains("degrade → stash")),
+        msgs.iter()
+            .any(|m| m.contains("SemanticCache::insert") && m.contains("degrade → stash")),
         "{msgs:?}"
     );
     assert!(msgs.iter().any(|m| m.contains("Routed::Exact")), "{msgs:?}");

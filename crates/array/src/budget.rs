@@ -221,9 +221,8 @@ struct MeterInner {
 }
 
 /// The runtime enforcement handle for one query execution: shared spent
-/// counter, pinned start instant, optional cancellation flag. Clone it
-/// into worker threads freely — all clones charge one counter, so a
-/// parallel query's total spend is metered globally, not per worker.
+/// counter, pinned start instant, optional cancellation flag. Clones
+/// share that counter, so every clone charges one global spend.
 ///
 /// An unarmed meter ([`BudgetMeter::unlimited`], or started from an
 /// unlimited [`QueryBudget`] without a token) makes every call a single

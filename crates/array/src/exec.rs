@@ -1,387 +1,15 @@
-//! Deterministic execution of chunked kernels.
+//! The execution strategy type kept for source compatibility.
 //!
-//! Every hot path in the workspace is phrased as a *kernel* applied to a
-//! list of disjoint chunks (axis slabs, block tiles, query sub-regions,
-//! tree nodes). [`run_indexed`] is the single executor those paths share:
-//! it runs the kernel over the chunks either on the calling thread
-//! ([`Parallelism::Sequential`], the default) or fanned out across scoped
-//! worker threads ([`Parallelism::Threads`], behind the `parallel`
-//! feature), and returns the results **in input order** either way.
-//!
-//! Determinism contract: for a pure per-chunk kernel, the output of
-//! `run_indexed` is a pure function of `(items, f)` — the strategy only
-//! changes *where* chunks run, never *what* each chunk computes nor the
-//! order results are reassembled in. Callers that reduce the returned
-//! vector in index order therefore get bit-identical results under every
-//! strategy, floating point included. Without the `parallel` feature,
-//! `Threads(n)` degrades to the sequential path.
+//! Every kernel in the workspace runs on the calling thread; parallelism
+//! across queries comes from the server's shard workers. [`Parallelism`]
+//! survives only as the argument of the two `…_with` constructors that
+//! external callers still spell out.
 
-/// How a list of independent chunks is executed.
+/// How a kernel is executed. [`Parallelism::Sequential`] — on the calling
+/// thread — is the only strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Parallelism {
-    /// Run every chunk on the calling thread, in input order.
+    /// Run on the calling thread.
     #[default]
     Sequential,
-    /// Fan chunks out across up to this many scoped worker threads.
-    ///
-    /// Requires the `parallel` feature; without it this behaves exactly
-    /// like [`Parallelism::Sequential`]. `Threads(0)` and `Threads(1)`
-    /// also run sequentially.
-    Threads(usize),
-}
-
-impl Parallelism {
-    /// The number of workers this strategy uses for `chunks` independent
-    /// work items (1 means the calling thread runs everything).
-    pub fn workers_for(self, chunks: usize) -> usize {
-        match self {
-            Parallelism::Sequential => 1,
-            Parallelism::Threads(t) => {
-                if cfg!(feature = "parallel") {
-                    t.max(1).min(chunks.max(1))
-                } else {
-                    1
-                }
-            }
-        }
-    }
-
-    /// Whether this strategy can actually run chunks concurrently.
-    pub fn is_parallel(self) -> bool {
-        matches!(self, Parallelism::Threads(t) if t > 1 && cfg!(feature = "parallel"))
-    }
-}
-
-/// Applies `f` to every item, returning results in input order.
-///
-/// `f` receives each item's input index alongside the item, so kernels can
-/// label or place their output without relying on execution order. Under
-/// [`Parallelism::Threads`] the items are split into contiguous runs, one
-/// scoped thread per worker; results are stitched back together in index
-/// order before returning.
-///
-/// # Panics
-/// Propagates panics from `f` (worker panics abort the join).
-pub fn run_indexed<T, R, F>(par: Parallelism, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    if par.workers_for(items.len()) <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
-    }
-    run_threads(par.workers_for(items.len()), items, &f)
-}
-
-/// [`run_indexed`] for kernels that can fail — the execution primitive of
-/// budgeted queries (see [`crate::budget`]).
-///
-/// Sequentially, this short-circuits at the first `Err` exactly like a
-/// `collect::<Result<_, _>>()`. Under [`Parallelism::Threads`], every
-/// worker stops taking new items once *any* worker has failed (checked via
-/// a shared flag before each item), the chunks are stitched in input
-/// order, and the error of the smallest-indexed failed item is returned.
-/// For a pure kernel the `Ok` output is therefore bit-identical to the
-/// sequential run; which error surfaces when *several* items fail can
-/// depend on scheduling, but whether the call fails does not: it fails iff
-/// some item's kernel fails.
-///
-/// # Errors
-/// The first (lowest-index) kernel error among those that occurred.
-pub fn run_indexed_fallible<T, R, E, F>(par: Parallelism, items: Vec<T>, f: F) -> Result<Vec<R>, E>
-where
-    T: Send,
-    R: Send,
-    E: Send,
-    F: Fn(usize, T) -> Result<R, E> + Sync,
-{
-    if par.workers_for(items.len()) <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
-    }
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    let results: Vec<Option<Result<R, E>>> = run_indexed(par, items, |i, t| {
-        // ordering: Relaxed — best-effort early-exit flag; a worker that
-        // misses the store merely computes one extra chunk. The error
-        // value itself travels through the join, not this atomic.
-        if stop.load(std::sync::atomic::Ordering::Relaxed) {
-            return None; // another worker already failed; don't start new work
-        }
-        let r = f(i, t);
-        if r.is_err() {
-            // ordering: Relaxed — see the load above; flag is advisory.
-            stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        }
-        Some(r)
-    });
-    let mut out = Vec::with_capacity(results.len());
-    let mut first_err = None;
-    for r in results {
-        match r {
-            Some(Ok(v)) if first_err.is_none() => out.push(v),
-            Some(Ok(_)) => {}
-            Some(Err(e)) => {
-                first_err.get_or_insert(e);
-            }
-            // Skipped after a failure elsewhere; the failure itself is in
-            // the results and will be (or was) picked up.
-            None => {}
-        }
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(out),
-    }
-}
-
-#[cfg(feature = "parallel")]
-fn run_threads<T, R, F>(workers: usize, mut items: Vec<T>, f: &F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let total = items.len();
-    let per = total.div_ceil(workers);
-    let mut parts: Vec<(usize, Vec<T>)> = Vec::with_capacity(workers);
-    let mut base = 0;
-    while !items.is_empty() {
-        let take = per.min(items.len());
-        let rest = items.split_off(take);
-        parts.push((base, std::mem::replace(&mut items, rest)));
-        base += take;
-    }
-    // Telemetry scopes are thread-local, so each worker re-enters the
-    // spawning thread's context: a scoped workload's counters land in the
-    // scoped registry no matter which thread did the work. The same goes
-    // for the trace scope — re-entering it parents any span the mapped
-    // closure opens under the span that invoked the fan-out, so a traced
-    // query has one tree regardless of the execution strategy.
-    #[cfg(feature = "telemetry")]
-    let ctx = olap_telemetry::current();
-    #[cfg(feature = "telemetry")]
-    let trace = olap_telemetry::current_trace();
-    let mut out: Vec<R> = Vec::with_capacity(total);
-    #[cfg(feature = "telemetry")]
-    let mut worker_nanos: Vec<u64> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = parts
-            .into_iter()
-            .map(|(first, part)| {
-                #[cfg(feature = "telemetry")]
-                let ctx = ctx.clone();
-                #[cfg(feature = "telemetry")]
-                let trace = trace.clone();
-                scope.spawn(move || {
-                    #[cfg(feature = "telemetry")]
-                    let _trace_scope = trace.as_ref().map(olap_telemetry::TraceHandle::enter);
-                    let run = || {
-                        part.into_iter()
-                            .enumerate()
-                            .map(|(i, t)| f(first + i, t))
-                            .collect::<Vec<R>>()
-                    };
-                    #[cfg(feature = "telemetry")]
-                    if let Some(ctx) = ctx {
-                        let start = std::time::Instant::now();
-                        let chunk = olap_telemetry::with_scope(&ctx, run);
-                        let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                        ctx.registry()
-                            .histogram("olap_exec_worker_nanos", &[])
-                            .observe(nanos);
-                        return (chunk, nanos);
-                    }
-                    (run(), 0u64)
-                })
-            })
-            .collect();
-        for h in handles {
-            // Re-raise a worker panic with its original payload so the
-            // engine layer's `catch_unwind` containment sees the real
-            // message rather than a generic join error.
-            let (chunk, nanos) = match h.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            #[cfg(not(feature = "telemetry"))]
-            let _ = nanos;
-            #[cfg(feature = "telemetry")]
-            worker_nanos.push(nanos);
-            out.extend(chunk);
-        }
-    });
-    #[cfg(feature = "telemetry")]
-    if let Some(ctx) = ctx {
-        let reg = ctx.registry();
-        reg.counter("olap_exec_fanouts_total", &[]).inc(1);
-        reg.counter("olap_exec_chunks_total", &[]).inc(total as u64);
-        // Imbalance of the fan-out just finished: how much the slowest
-        // worker exceeded the mean, in permille (0 = perfectly balanced).
-        let n = worker_nanos.len() as f64;
-        let mean = worker_nanos.iter().sum::<u64>() as f64 / n.max(1.0);
-        if mean > 0.0 {
-            let max = worker_nanos.iter().copied().max().unwrap_or(0) as f64;
-            reg.gauge("olap_exec_imbalance_permille", &[])
-                .set((max / mean - 1.0) * 1000.0);
-        }
-    }
-    out
-}
-
-#[cfg(not(feature = "parallel"))]
-fn run_threads<T, R, F>(_workers: usize, items: Vec<T>, f: &F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    items
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| f(i, t))
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sequential_maps_in_order() {
-        let out = run_indexed(Parallelism::Sequential, vec![10, 20, 30], |i, x| {
-            i * 100 + x
-        });
-        assert_eq!(out, vec![10, 120, 230]);
-    }
-
-    #[test]
-    fn threads_preserve_input_order() {
-        let items: Vec<usize> = (0..101).collect();
-        let expected: Vec<usize> = items.iter().map(|&x| x * 3 + 1).collect();
-        for t in [1, 2, 3, 8, 64, 200] {
-            let got = run_indexed(Parallelism::Threads(t), items.clone(), |i, x| {
-                assert_eq!(i, x);
-                x * 3 + 1
-            });
-            assert_eq!(got, expected, "t = {t}");
-        }
-    }
-
-    #[test]
-    fn threads_mutate_disjoint_slices() {
-        let mut data = vec![0u64; 64];
-        let chunks: Vec<&mut [u64]> = data.chunks_mut(7).collect();
-        run_indexed(Parallelism::Threads(4), chunks, |i, chunk| {
-            for (j, c) in chunk.iter_mut().enumerate() {
-                *c = (i * 7 + j) as u64;
-            }
-        });
-        let expected: Vec<u64> = (0..64).collect();
-        assert_eq!(data, expected);
-    }
-
-    #[test]
-    fn workers_respect_feature_and_bounds() {
-        assert_eq!(Parallelism::Sequential.workers_for(100), 1);
-        assert_eq!(Parallelism::Threads(0).workers_for(100), 1);
-        let w = Parallelism::Threads(8).workers_for(3);
-        if cfg!(feature = "parallel") {
-            assert_eq!(w, 3); // never more workers than chunks
-            assert!(Parallelism::Threads(4).is_parallel());
-        } else {
-            assert_eq!(w, 1);
-            assert!(!Parallelism::Threads(4).is_parallel());
-        }
-        assert!(!Parallelism::Threads(1).is_parallel());
-        assert!(!Parallelism::Sequential.is_parallel());
-    }
-
-    #[cfg(all(feature = "parallel", feature = "telemetry"))]
-    #[test]
-    fn workers_record_into_the_scoped_registry() {
-        let ctx = std::sync::Arc::new(olap_telemetry::Telemetry::new());
-        olap_telemetry::with_scope(&ctx, || {
-            run_indexed(
-                Parallelism::Threads(4),
-                (0..32).collect::<Vec<usize>>(),
-                |_, x| {
-                    if let Some(c) = olap_telemetry::current() {
-                        c.registry().counter("kernel_chunks", &[]).inc(1);
-                    }
-                    x
-                },
-            );
-        });
-        let reg = ctx.registry();
-        assert_eq!(
-            reg.counter("kernel_chunks", &[]).get(),
-            32,
-            "worker threads must inherit the spawning thread's scope"
-        );
-        assert_eq!(reg.counter("olap_exec_fanouts_total", &[]).get(), 1);
-        assert_eq!(reg.counter("olap_exec_chunks_total", &[]).get(), 32);
-        assert_eq!(reg.histogram("olap_exec_worker_nanos", &[]).count(), 4);
-    }
-
-    #[test]
-    fn fallible_sequential_short_circuits() {
-        let calls = std::sync::atomic::AtomicUsize::new(0);
-        let out: Result<Vec<i32>, &str> =
-            run_indexed_fallible(Parallelism::Sequential, vec![1, 2, 3, 4], |_, x| {
-                calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if x == 2 {
-                    Err("boom")
-                } else {
-                    Ok(x * 10)
-                }
-            });
-        assert_eq!(out, Err("boom"));
-        assert_eq!(
-            calls.load(std::sync::atomic::Ordering::Relaxed),
-            2,
-            "items after the failure never run"
-        );
-    }
-
-    #[test]
-    fn fallible_matches_infallible_on_success() {
-        let items: Vec<usize> = (0..77).collect();
-        for par in [Parallelism::Sequential, Parallelism::Threads(4)] {
-            let got: Result<Vec<usize>, ()> = run_indexed_fallible(par, items.clone(), |i, x| {
-                assert_eq!(i, x);
-                Ok(x + 1)
-            });
-            assert_eq!(got.unwrap(), (1..78).collect::<Vec<usize>>(), "{par:?}");
-        }
-    }
-
-    #[test]
-    fn fallible_threads_return_lowest_index_error() {
-        // Two failing items; the smaller index must win whenever both ran.
-        let items: Vec<usize> = (0..64).collect();
-        let got: Result<Vec<usize>, usize> =
-            run_indexed_fallible(Parallelism::Threads(4), items, |_, x| {
-                if x == 9 || x == 50 {
-                    Err(x)
-                } else {
-                    Ok(x)
-                }
-            });
-        let e = got.unwrap_err();
-        assert!(e == 9 || e == 50, "one of the injected errors surfaces");
-    }
-
-    #[test]
-    fn empty_items_is_fine() {
-        let out: Vec<i32> = run_indexed(Parallelism::Threads(4), Vec::<i32>::new(), |_, x| x);
-        assert!(out.is_empty());
-    }
 }

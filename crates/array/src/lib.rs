@@ -20,13 +20,10 @@
 //!
 //! # Execution model
 //!
-//! Hot paths are written as *chunked kernels* over disjoint slices
-//! ([`DenseArray::split_axis_lines`], [`DenseArray::disjoint_block_tiles`])
-//! and dispatched through the [`exec`] module's [`Parallelism`] strategy:
-//! sequential by default, fanned out across scoped threads when the
-//! `parallel` feature is enabled and [`Parallelism::Threads`] is selected.
-//! Both paths run the same kernels and reassemble results in a fixed
-//! order, so outputs are bit-identical regardless of strategy.
+//! Every kernel here — axis scans, block contraction, region folds — is
+//! one plain sequential loop on the calling thread. Parallelism across
+//! queries comes from the server's shard workers, not from inside a
+//! kernel.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,7 @@
 //! Property tests for the array substrate: index arithmetic, region
 //! algebra, and iteration order.
 
-use olap_array::{DenseArray, FlatRegionIter, Region, Shape};
+use olap_array::{ArrayError, DenseArray, FlatRegionIter, Region, Shape};
 use proptest::prelude::*;
 
 fn arb_shape() -> impl Strategy<Value = Shape> {
@@ -150,10 +150,10 @@ proptest! {
     fn contract_blocks_conserves_sum(
         (shape, b, data) in arb_shape().prop_flat_map(|s| {
             let len = s.len();
-            (Just(s), 1usize..5, prop::collection::vec(-50i64..50, len))
+            (Just(s), 1usize..=5, prop::collection::vec(-50i64..50, len))
         })
     ) {
-        let a = DenseArray::from_vec(shape, data).unwrap();
+        let a = DenseArray::from_vec(shape.clone(), data).unwrap();
         let c = a.contract_blocks(b, 0i64, |acc, &x, _| acc + x).unwrap();
         let total: i64 = a.as_slice().iter().sum();
         let contracted: i64 = c.as_slice().iter().sum();
@@ -161,5 +161,31 @@ proptest! {
         for (j, &n) in a.shape().dims().iter().enumerate() {
             prop_assert_eq!(c.shape().dim(j), n.div_ceil(b));
         }
+        // Every output cell is a direct fold over its clipped b^d block,
+        // visiting the block's cells (and passing their offsets) in
+        // row-major order.
+        let visits = a
+            .contract_blocks(b, Vec::new(), |acc: &Vec<usize>, _, off| {
+                let mut v = acc.clone();
+                v.push(off);
+                v
+            })
+            .unwrap();
+        for out in c.shape().full_region().iter_indices() {
+            let bounds: Vec<(usize, usize)> = out
+                .iter()
+                .zip(shape.dims())
+                .map(|(&o, &n)| (o * b, ((o + 1) * b - 1).min(n - 1)))
+                .collect();
+            let block = Region::from_bounds(&bounds).unwrap();
+            let offs: Vec<usize> = block.iter_indices().map(|i| shape.flatten(&i)).collect();
+            let direct: i64 = offs.iter().map(|&o| a.as_slice()[o]).sum();
+            prop_assert_eq!(*c.get(&out), direct, "block {:?}", out);
+            prop_assert_eq!(visits.get(&out), &offs, "block {:?}", out);
+        }
+        prop_assert_eq!(
+            a.contract_blocks(0, 0i64, |acc, &x, _| acc + x),
+            Err(ArrayError::ZeroBlock)
+        );
     }
 }

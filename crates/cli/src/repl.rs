@@ -259,8 +259,14 @@ mod tests {
     use olap_array::Shape;
     use std::io::BufWriter;
 
+    /// Writes the fixture files into a directory of their own per call:
+    /// tests run concurrently, and a shared directory lets one test
+    /// truncate a file another is reading.
     fn setup() -> (String, String, String) {
-        let dir = std::env::temp_dir().join("olap-cli-repl-tests");
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("olap-cli-repl-tests-{}-{n}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let cube_path = dir.join("r.olap").to_string_lossy().into_owned();
         let psum_path = dir.join("r.psum").to_string_lossy().into_owned();

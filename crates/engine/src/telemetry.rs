@@ -13,33 +13,31 @@
 //! - `olap_engine_accesses{engine, op}` — §8 element accesses per query
 //! - `olap_engine_latency_nanos{engine, op}` — wall time per call
 //! - `olap_engine_update_cells_total{engine}` — cells written by updates
-//! - `olap_span_nanos{span=<op>}` — via the span API, one series per op
-//!   across engines
+//! - `olap_span_nanos{span=<op>}` — one series per op across engines
 
 use crate::EngineError;
 use olap_query::{AccessStats, QueryOutcome};
 
-/// Runs `f` (one engine query) and records count, accesses, latency, and a
-/// span for it. `label` is only invoked when a telemetry context is
+/// Runs `f` (one engine query) and records count, accesses, latency, and
+/// its per-op span time. `label` is only invoked when a telemetry context is
 /// active, so the disabled path allocates nothing.
 #[cfg(feature = "telemetry")]
 pub(crate) fn observe_query<T>(
     label: impl Fn() -> String,
     op: &'static str,
-    dims: usize,
     f: impl FnOnce() -> Result<QueryOutcome<T>, EngineError>,
 ) -> Result<QueryOutcome<T>, EngineError> {
     let Some(ctx) = olap_telemetry::current() else {
         return f();
     };
-    let span = olap_telemetry::SpanTimer::start(op, &[("dims", dims as f64)]);
     let start = std::time::Instant::now();
     let result = f();
     let nanos = elapsed_nanos(start);
-    drop(span);
     let label = label();
     let labels: &[(&str, &str)] = &[("engine", &label), ("op", op)];
     let reg = ctx.registry();
+    reg.histogram("olap_span_nanos", &[("span", op)])
+        .observe(nanos);
     reg.counter("olap_engine_queries_total", labels).inc(1);
     match &result {
         Ok(outcome) => {
@@ -61,7 +59,6 @@ pub(crate) fn observe_query<T>(
 pub(crate) fn observe_query<T>(
     _label: impl Fn() -> String,
     _op: &'static str,
-    _dims: usize,
     f: impl FnOnce() -> Result<QueryOutcome<T>, EngineError>,
 ) -> Result<QueryOutcome<T>, EngineError> {
     f()

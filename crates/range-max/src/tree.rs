@@ -2,7 +2,7 @@
 //! §6.2).
 
 use olap_aggregate::{NaturalOrder, ReverseOrder, TotalOrder};
-use olap_array::{exec, ArrayError, DenseArray, FlatRegionIter, Parallelism, Range, Region, Shape};
+use olap_array::{ArrayError, DenseArray, Parallelism, Range, Region, Shape};
 use std::fmt;
 
 /// Errors from building or querying a [`MaxTree`].
@@ -90,20 +90,18 @@ where
         MaxTree::build(a, b, NaturalOrder::new())
     }
 
-    /// [`NaturalMaxTree::for_values`] under an execution strategy.
+    /// Forwards to [`NaturalMaxTree::for_values`]. Kept only because the
+    /// repository benchmark's ladder still calls it with
+    /// [`Parallelism::Sequential`].
     ///
     /// # Errors
     /// [`MaxTreeError::FanoutTooSmall`] when `b < 2`.
     pub fn for_values_with(
         a: &DenseArray<T>,
         b: usize,
-        par: Parallelism,
-    ) -> Result<Self, MaxTreeError>
-    where
-        NaturalOrder<T>: Sync,
-        T: Sync,
-    {
-        MaxTree::build_with(a, b, NaturalOrder::new(), par)
+        _par: Parallelism,
+    ) -> Result<Self, MaxTreeError> {
+        Self::for_values(a, b)
     }
 }
 
@@ -135,60 +133,23 @@ impl<O: TotalOrder> MaxTree<O> {
             return Err(MaxTreeError::FanoutTooSmall { b });
         }
         let shape = a.shape().clone();
-        let levels = build_levels(&shape, b, |child_shape, child, parent_shape| {
-            let child_of = child.map(|l| &*l.max_index);
-            level_max(a, &order, child_shape, child_of, parent_shape, b)
-        })?;
-        Ok(MaxTree {
-            order,
-            shape,
-            b,
-            levels,
-        })
-    }
-
-    /// [`MaxTree::build`] under an execution strategy: each level's nodes
-    /// are independent gathers over disjoint child regions, so a level is
-    /// filled by fanning contiguous runs of parent nodes across workers.
-    /// Every node runs the same first-max-wins comparison sequence as the
-    /// sequential build (its children in row-major order), so the tree is
-    /// bit-identical under every [`Parallelism`].
-    ///
-    /// # Errors
-    /// [`MaxTreeError::FanoutTooSmall`] when `b < 2`.
-    pub fn build_with(
-        a: &DenseArray<O::Value>,
-        b: usize,
-        order: O,
-        par: Parallelism,
-    ) -> Result<Self, MaxTreeError>
-    where
-        O: Sync,
-        O::Value: Sync,
-    {
-        if b < 2 {
-            return Err(MaxTreeError::FanoutTooSmall { b });
-        }
-        let shape = a.shape().clone();
-        let levels = build_levels(&shape, b, |child_shape, child, parent_shape| {
-            let child_of = child.map(|l| &*l.max_index);
-            let n_out = parent_shape.len();
-            let workers = par.workers_for(n_out);
-            if workers <= 1 {
-                return level_max(a, &order, child_shape, child_of, parent_shape, b);
+        // Level 1 is contracted from `A` (children are cells); level
+        // `i + 1` from level `i` (children are nodes carrying argmax
+        // indices).
+        let mut levels: Vec<Level> = Vec::new();
+        loop {
+            let child_shape = levels.last().map_or(&shape, |l| &l.shape);
+            if child_shape.dims().iter().all(|&n| n == 1) {
+                break;
             }
-            let piece = n_out.div_ceil(workers);
-            let chunks: Vec<core::ops::Range<usize>> = (0..n_out)
-                .step_by(piece)
-                .map(|lo| lo..(lo + piece).min(n_out))
-                .collect();
-            let parts = exec::run_indexed(par, chunks, |_, nodes| {
-                nodes
-                    .map(|p| node_max(a, &order, child_shape, child_of, parent_shape, b, p))
-                    .collect::<Vec<usize>>()
+            let parent_shape = child_shape.contract(b)?;
+            let child_of = levels.last().map(|l| &*l.max_index);
+            let max_index = level_max(a, &order, child_shape, child_of, &parent_shape, b);
+            levels.push(Level {
+                shape: parent_shape,
+                max_index,
             });
-            parts.into_iter().flatten().collect()
-        })?;
+        }
         Ok(MaxTree {
             order,
             shape,
@@ -381,36 +342,7 @@ impl<O: TotalOrder> MaxTree<O> {
     }
 }
 
-/// Runs the bottom-up level loop: level 1 is contracted from `A` (children
-/// are cells); level `i + 1` from level `i` (children are nodes carrying
-/// argmax indices). `make` fills one level's node table given
-/// `(child_shape, previous level if any, parent_shape)` — the sequential
-/// and threaded builds differ only in that callback.
-fn build_levels(
-    shape: &Shape,
-    b: usize,
-    mut make: impl FnMut(&Shape, Option<&Level>, &Shape) -> Box<[usize]>,
-) -> Result<Vec<Level>, MaxTreeError> {
-    let mut levels: Vec<Level> = Vec::new();
-    loop {
-        let child_shape = levels
-            .last()
-            .map(|l| l.shape.clone())
-            .unwrap_or_else(|| shape.clone());
-        if child_shape.dims().iter().all(|&n| n == 1) {
-            break;
-        }
-        let parent_shape = child_shape.contract(b)?;
-        let max_index = make(&child_shape, levels.last(), &parent_shape);
-        levels.push(Level {
-            shape: parent_shape,
-            max_index,
-        });
-    }
-    Ok(levels)
-}
-
-/// The sequential whole-level kernel: one row-major walk over the child
+/// The whole-level build kernel: one row-major walk over the child
 /// level that folds every child into its parent with strict
 /// first-max-wins comparisons. Each child is read once and no per-node
 /// region or iterator is built, unlike [`node_max`]. Restricted to one
@@ -462,10 +394,11 @@ fn level_max<O: TotalOrder>(
     best.into_boxed_slice()
 }
 
-/// The per-node kernel of the threaded build: gathers the argmax (as a
-/// flat `A` index) over one parent node's children, visiting them in
-/// row-major order of the child region with strict first-max-wins
-/// comparisons — the same choices [`level_max`] makes for that node.
+/// The per-node reference kernel: gathers the argmax (as a flat `A`
+/// index) over one parent node's children, visiting them in row-major
+/// order of the child region with strict first-max-wins comparisons —
+/// the same choices [`level_max`] makes for that node.
+#[cfg(test)]
 fn node_max<O: TotalOrder>(
     a: &DenseArray<O::Value>,
     order: &O,
@@ -485,7 +418,7 @@ fn node_max<O: TotalOrder>(
         .collect();
     let children = Region::new(ranges).expect("d ≥ 1");
     let mut best = usize::MAX;
-    for cflat in FlatRegionIter::new(child_shape, &children) {
+    for cflat in olap_array::FlatRegionIter::new(child_shape, &children) {
         // The candidate A-index this child contributes.
         let cand = match child_of {
             None => cflat, // children are cells of A
@@ -606,30 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn build_with_matches_build_bit_identically() {
-        // Duplicated values force argmax tie-breaks; both paths must pick
-        // the same (first-in-row-major-order) index at every node.
-        let a = DenseArray::from_fn(Shape::new(&[9, 6]).unwrap(), |i| {
-            ((i[0] * 7 + i[1] * 5) % 4) as i64
-        });
-        for b in [2usize, 3] {
-            let seq = NaturalMaxTree::for_values(&a, b).unwrap();
-            for par in [
-                Parallelism::Sequential,
-                Parallelism::Threads(2),
-                Parallelism::Threads(5),
-            ] {
-                let t = NaturalMaxTree::for_values_with(&a, b, par).unwrap();
-                assert_eq!(t.height(), seq.height());
-                for (lp, ls) in t.levels.iter().zip(&seq.levels) {
-                    assert_eq!(lp.shape, ls.shape, "b = {b}, {par:?}");
-                    assert_eq!(lp.max_index, ls.max_index, "b = {b}, {par:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn level_kernel_matches_the_per_node_kernel() {
         // Few distinct values force ties at every node; ragged extents
         // leave partial nodes on every boundary.
@@ -644,16 +553,18 @@ mod tests {
             });
             for b in [2usize, 3, 4] {
                 let order = NaturalOrder::<i64>::new();
-                build_levels(&shape, b, |child_shape, child, parent_shape| {
-                    let child_of = child.map(|l| &*l.max_index);
-                    let level = level_max(&a, &order, child_shape, child_of, parent_shape, b);
+                let t = NaturalMaxTree::for_values(&a, b).unwrap();
+                let mut child_shape = &shape;
+                let mut child_of: Option<&[usize]> = None;
+                for level in &t.levels {
+                    let parent_shape = &level.shape;
                     let nodes: Vec<usize> = (0..parent_shape.len())
                         .map(|p| node_max(&a, &order, child_shape, child_of, parent_shape, b, p))
                         .collect();
-                    assert_eq!(&*level, &nodes[..], "{dims:?}, b = {b}");
-                    level
-                })
-                .unwrap();
+                    assert_eq!(&*level.max_index, &nodes[..], "{dims:?}, b = {b}");
+                    child_shape = parent_shape;
+                    child_of = Some(&level.max_index);
+                }
             }
         }
     }

@@ -1,8 +1,8 @@
 //! Global and scoped telemetry contexts, and the one-atomic-load fast
 //! path instrumented code relies on.
 //!
-//! A [`Telemetry`] context bundles a [`Registry`], a [`FlightRecorder`],
-//! and an optional [`Subscriber`]. Instrumented call sites ask
+//! A [`Telemetry`] context bundles a [`Registry`] and a
+//! [`FlightRecorder`]. Instrumented call sites ask
 //! [`current`] for the active context:
 //!
 //! - if **no** context is active anywhere in the process, [`current`] is a
@@ -18,18 +18,15 @@
 
 use crate::flight::FlightRecorder;
 use crate::registry::Registry;
-use crate::span::Subscriber;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
-/// A bundle of telemetry sinks: metric registry, flight recorder, and an
-/// optional span subscriber.
+/// A bundle of telemetry sinks: metric registry and flight recorder.
 #[derive(Default)]
 pub struct Telemetry {
     registry: Registry,
     recorder: FlightRecorder,
-    subscriber: Mutex<Option<Arc<dyn Subscriber>>>,
 }
 
 impl Telemetry {
@@ -45,7 +42,6 @@ impl Telemetry {
         Telemetry {
             registry: Registry::new(),
             recorder: FlightRecorder::with_capacity(capacity),
-            subscriber: Mutex::new(None),
         }
     }
 
@@ -57,17 +53,6 @@ impl Telemetry {
     /// The flight recorder.
     pub fn recorder(&self) -> &FlightRecorder {
         &self.recorder
-    }
-
-    /// Installs a span subscriber (replacing any previous one).
-    pub fn set_subscriber(&self, s: Arc<dyn Subscriber>) {
-        *self.subscriber.lock().expect("subscriber lock") = Some(s);
-    }
-
-    /// The current span subscriber, if any.
-    pub fn subscriber(&self) -> Option<Arc<dyn Subscriber>> {
-        // analyzer: allow(panic-site, reason = "mutex poisoning propagates a panic from another telemetry call; fail loud rather than silently drop the subscriber")
-        self.subscriber.lock().expect("subscriber lock").clone()
     }
 }
 
@@ -155,9 +140,9 @@ impl Drop for ScopeGuard {
 /// Runs `f` with `ctx` installed as the current thread's telemetry
 /// context. Nestable (innermost wins); unwound correctly on panic.
 ///
-/// Worker threads spawned inside `f` do **not** inherit the scope
-/// automatically — executors that fan out must capture [`current`] and
-/// re-enter it per worker (as `olap_array::exec` does).
+/// Worker threads spawned inside `f` do **not** inherit the scope; a
+/// caller that hands work to another thread must capture [`current`] and
+/// re-enter it there.
 pub fn with_scope<R>(ctx: &Arc<Telemetry>, f: impl FnOnce() -> R) -> R {
     SCOPES.with(|s| s.borrow_mut().push(ctx.clone()));
     // ordering: Relaxed — counter hint only (see `enabled()`); the
@@ -256,7 +241,7 @@ mod tests {
     fn global_roundtrip() {
         // Serialise with a local lock so parallel tests in this module
         // don't interleave global enable/disable.
-        static LOCK: Mutex<()> = Mutex::new(());
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         let _g = LOCK.lock().unwrap();
         enable_global();
         assert!(enabled());

@@ -8,8 +8,6 @@
 //! - [`Registry`]: a thread-safe registry of named, labelled [`Counter`]s,
 //!   [`Gauge`]s, and log2-bucketed [`Histogram`]s, renderable as
 //!   Prometheus-style text or JSON,
-//! - [`span!`] / [`Subscriber`]: a lightweight span API timing named code
-//!   sections with static fields,
 //! - [`FlightRecorder`]: a fixed-capacity ring buffer of the last N query
 //!   outcomes + route decisions ([`FlightRecord`]), dumpable as JSON,
 //! - [`TraceSpan`] / [`TraceSink`]: end-to-end per-query tracing — span
@@ -40,11 +38,9 @@
 //! # Scoping and determinism
 //!
 //! [`with_scope`] installs a context for the duration of a closure on the
-//! current thread. Executors that fan work out to worker threads re-enter
-//! the captured context in each worker (see `olap-array`'s `exec`), so a
-//! scoped workload's metrics land in the scoped registry, isolated from
-//! every other thread — which is what makes registry contents testable
-//! under concurrency.
+//! current thread, so a scoped workload's metrics land in the scoped
+//! registry, isolated from every other thread — which is what makes
+//! registry contents testable under concurrency.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +48,6 @@
 mod dispatch;
 mod flight;
 mod registry;
-mod span;
 mod trace;
 
 pub use dispatch::{
@@ -64,10 +59,9 @@ pub use flight::{
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricSnapshot, MetricValue, Registry,
 };
-pub use span::{CollectingSubscriber, SpanTimer, Subscriber};
 pub use trace::{
-    current_trace, tracing_active, EnteredTrace, PendingSpan, SlowTrace, SpanId, SpanRecord,
-    SpanTree, TraceContext, TraceHandle, TraceId, TraceSink, TraceSpan, DEFAULT_SLOW_RING_CAPACITY,
+    tracing_active, EnteredTrace, PendingSpan, SlowTrace, SpanId, SpanRecord, SpanTree,
+    TraceContext, TraceId, TraceSink, TraceSpan, DEFAULT_SLOW_RING_CAPACITY,
     DEFAULT_TRACE_CAPACITY,
 };
 

@@ -25,24 +25,19 @@
 //! parent themselves under it automatically *without* touching any
 //! cross-thread state: a child span borrows the sink from the enclosing
 //! frame, so the recording fast path performs no reference-count or
-//! shared-counter writes. Two explicit propagation primitives cross
-//! threads:
-//!
-//! - [`PendingSpan`] carries the context *by value* through a queue (the
-//!   `CubeServer` job envelope): started on the submitting thread, its
-//!   [`PendingSpan::finish_and_enter`] on the receiving thread records the
-//!   elapsed time as its own span (queue wait) and re-enters the trace
-//!   there, so worker-side spans join the same tree;
-//! - [`TraceHandle::enter`] re-enters a captured context in a fan-out
-//!   worker (as `olap_array::exec` does for the telemetry scope).
+//! shared-counter writes. One explicit propagation primitive crosses
+//! threads: [`PendingSpan`] carries the context *by value* through a
+//! queue (the `CubeServer` job envelope). Started on the submitting
+//! thread, its [`PendingSpan::finish_and_enter`] on the receiving thread
+//! records the elapsed time as its own span (queue wait) and re-enters
+//! the trace there, so worker-side spans join the same tree.
 //!
 //! Completed spans land in the sink — a bounded store (drop-counted at
 //! capacity, never reallocating past it) with a slow-query ring keeping
 //! the *full tree* of any trace whose root exceeds a threshold — and are
 //! exportable as Chrome trace-event JSON via [`TraceSink::to_chrome_json`]
 //! (loadable in `chrome://tracing` or Perfetto). When a telemetry context
-//! is also active, every completed span additionally feeds the existing
-//! [`Subscriber`](crate::Subscriber) seam and the
+//! is also active, every completed span additionally feeds the
 //! `olap_span_nanos{span=NAME}` histogram, so aggregate per-stage
 //! latencies come from the same instrumentation points.
 
@@ -111,17 +106,17 @@ static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
 /// One entry of the thread-local trace scope stack.
 ///
-/// Only *owning* entries — a trace root or a cross-thread re-entry —
-/// carry the sink. A child span's entry is just its [`TraceContext`]:
+/// Only *owning* entries — a trace root or a re-entry on the far side of
+/// a queue — carry the sink. A child span's entry is just its [`TraceContext`]:
 /// the span is scoped strictly inside the frame that spawned it, so it
 /// borrows the sink (and its liveness) from the nearest `Frame` beneath
 /// it instead of bumping the `Arc` refcount. That keeps starting and
 /// dropping a child span free of shared-memory writes other than the
 /// record itself.
 enum ScopeEntry {
-    /// An owning frame: [`TraceSpan::root`], [`TraceHandle::enter`], or
+    /// An owning frame: [`TraceSpan::root`] or
     /// [`PendingSpan::finish_and_enter`].
-    Frame(TraceHandle),
+    Frame(Frame),
     /// A child span started by [`TraceSpan::start`].
     Child(TraceContext),
 }
@@ -176,21 +171,15 @@ pub fn tracing_active() -> bool {
 
 /// The innermost trace scope entered on this thread, if any. One
 /// thread-local read when no scope is entered.
-#[inline]
-pub fn current_trace() -> Option<TraceHandle> {
+fn current_frame() -> Option<Frame> {
     if !tracing_active() {
         return None;
     }
-    current_trace_slow()
-}
-
-#[inline(never)]
-fn current_trace_slow() -> Option<TraceHandle> {
     TRACE_SCOPES.with(|s| {
         let stack = s.borrow();
         let ctx = stack.last()?.ctx();
         let sink = innermost_sink(&stack)?;
-        Some(TraceHandle {
+        Some(Frame {
             ctx,
             sink: Arc::clone(sink),
         })
@@ -210,66 +199,26 @@ fn pop_scope() -> Option<ScopeEntry> {
     popped
 }
 
-/// Feeds a completed span through the existing telemetry seam: the
-/// `olap_span_nanos{span=NAME}` histogram and the context's
-/// [`Subscriber`](crate::Subscriber), when a telemetry context is active.
+/// Feeds a completed span into the `olap_span_nanos{span=NAME}`
+/// histogram when a telemetry context is active.
 fn forward_to_telemetry(name: &'static str, nanos: u64) {
     if let Some(ctx) = crate::current() {
         ctx.registry()
             .histogram("olap_span_nanos", &[("span", name)])
             .observe(nanos);
-        if let Some(sub) = ctx.subscriber() {
-            sub.record_span(name, &[], nanos);
-        }
     }
 }
 
-/// A cloneable capability to record into one trace: the [`TraceContext`]
-/// plus the owning sink. `Send`, so it can be captured and re-entered by
-/// fan-out workers ([`TraceHandle::enter`]).
-#[derive(Clone)]
-pub struct TraceHandle {
+/// An owning scope frame: the [`TraceContext`] plus the sink spans under
+/// it record into. `Send`, so a [`PendingSpan`] carries one across a
+/// queue.
+struct Frame {
     ctx: TraceContext,
     sink: Arc<TraceSink>,
 }
 
-impl TraceHandle {
-    /// The propagated trace position.
-    pub fn context(&self) -> TraceContext {
-        self.ctx
-    }
-
-    /// The sink completed spans are recorded into.
-    pub fn sink(&self) -> &Arc<TraceSink> {
-        &self.sink
-    }
-
-    /// Re-enters this context on the current thread: until the returned
-    /// guard drops, [`TraceSpan::start`] parents under `context().span`.
-    /// Nestable (innermost wins); unwound correctly on panic.
-    pub fn enter(&self) -> EnteredTrace {
-        push_scope(ScopeEntry::Frame(self.clone()));
-        EnteredTrace { active: true }
-    }
-
-    /// [`TraceHandle::enter`] by value — the handle moves into the scope
-    /// frame instead of being cloned, sparing a refcount round-trip on
-    /// the per-job propagation path.
-    pub fn enter_owned(self) -> EnteredTrace {
-        push_scope(ScopeEntry::Frame(self));
-        EnteredTrace { active: true }
-    }
-}
-
-impl fmt::Debug for TraceHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TraceHandle")
-            .field("ctx", &self.ctx)
-            .finish()
-    }
-}
-
-/// Guard for a re-entered trace scope; pops it on drop.
+/// Guard for the trace scope [`PendingSpan::finish_and_enter`] re-entered;
+/// pops it on drop.
 #[derive(Debug)]
 pub struct EnteredTrace {
     active: bool,
@@ -290,8 +239,8 @@ impl Drop for EnteredTrace {
 ///
 /// A span is pinned to the thread that started it (`!Send`): its scope
 /// entry lives on that thread's stack, and the drop pops it there. Cross-
-/// thread propagation goes through [`PendingSpan`] or
-/// [`TraceHandle::enter`], which own their sink reference.
+/// thread propagation goes through [`PendingSpan`], which owns its sink
+/// reference.
 pub struct TraceSpan {
     state: Option<SpanState>,
     /// Spans manipulate the thread-local scope stack on drop, so moving
@@ -322,7 +271,7 @@ impl TraceSpan {
             span: SpanId(sink.alloc_span()),
         };
         let start_ns = sink.now_ns();
-        push_scope(ScopeEntry::Frame(TraceHandle {
+        push_scope(ScopeEntry::Frame(Frame {
             ctx,
             sink: Arc::clone(sink),
         }));
@@ -439,7 +388,7 @@ pub struct PendingSpan {
 }
 
 struct PendingState {
-    handle: TraceHandle,
+    frame: Frame,
     name: &'static str,
     start_ns: u64,
 }
@@ -449,11 +398,11 @@ impl PendingSpan {
     /// `None` when no scope is entered (so envelopes carry nothing and
     /// the receiver does no work).
     pub fn start(name: &'static str) -> Option<PendingSpan> {
-        let cur = current_trace()?;
-        let start_ns = cur.sink.now_ns();
+        let frame = current_frame()?;
+        let start_ns = frame.sink.now_ns();
         Some(PendingSpan {
             state: Some(PendingState {
-                handle: cur,
+                frame,
                 name,
                 start_ns,
             }),
@@ -466,16 +415,21 @@ impl PendingSpan {
     /// span under the same parent.
     pub fn finish_and_enter(mut self) -> EnteredTrace {
         match self.state.take() {
-            Some(state) => PendingSpan::finish(state).enter_owned(),
+            Some(state) => {
+                // The frame moves into the scope stack instead of being
+                // cloned, sparing a refcount round-trip per job.
+                push_scope(ScopeEntry::Frame(PendingSpan::finish(state)));
+                EnteredTrace { active: true }
+            }
             None => EnteredTrace { active: false },
         }
     }
 
-    fn finish(state: PendingState) -> TraceHandle {
-        let dur_ns = state.handle.sink.now_ns().saturating_sub(state.start_ns);
-        let ctx = state.handle.ctx;
-        let span = SpanId(state.handle.sink.alloc_span());
-        state.handle.sink.record(SpanRecord {
+    fn finish(state: PendingState) -> Frame {
+        let dur_ns = state.frame.sink.now_ns().saturating_sub(state.start_ns);
+        let ctx = state.frame.ctx;
+        let span = SpanId(state.frame.sink.alloc_span());
+        state.frame.sink.record(SpanRecord {
             trace: ctx.trace,
             span,
             parent: Some(ctx.span),
@@ -485,7 +439,7 @@ impl PendingSpan {
             tid: thread_tid(),
         });
         forward_to_telemetry(state.name, dur_ns);
-        state.handle
+        state.frame
     }
 }
 
@@ -874,23 +828,6 @@ mod tests {
     }
 
     #[test]
-    fn handle_reenters_in_workers() {
-        let sink = Arc::new(TraceSink::new());
-        let root = TraceSpan::root(&sink, "serve_query");
-        let trace = root.context().expect("root records").trace;
-        let handle = current_trace().expect("scope entered");
-        let worker = std::thread::spawn(move || {
-            assert!(current_trace_slow().is_none(), "scopes are thread-local");
-            let _entered = handle.enter();
-            drop(TraceSpan::start("exec_worker"));
-        });
-        worker.join().expect("worker");
-        drop(root);
-        let tree = sink.trace_tree(trace).expect("tree assembles");
-        assert_eq!(tree.edge_set(), vec![("exec_worker", "serve_query")]);
-    }
-
-    #[test]
     fn capacity_drops_are_counted() {
         let sink = Arc::new(TraceSink::with_capacity(2));
         let root = TraceSpan::root(&sink, "serve_query");
@@ -957,24 +894,31 @@ mod tests {
     }
 
     #[test]
-    fn spans_feed_the_subscriber_seam() {
+    fn spans_feed_the_span_histogram() {
         let ctx = Arc::new(Telemetry::new());
-        let sub = Arc::new(crate::CollectingSubscriber::new());
-        ctx.set_subscriber(sub.clone());
         let sink = Arc::new(TraceSink::new());
         with_scope(&ctx, || {
             let root = TraceSpan::root(&sink, "serve_query");
             drop(TraceSpan::start("kernel_exec"));
             drop(root);
         });
+        for name in ["kernel_exec", "serve_query"] {
+            assert_eq!(
+                ctx.registry()
+                    .histogram("olap_span_nanos", &[("span", name)])
+                    .count(),
+                1,
+                "{name}"
+            );
+        }
+        // Spans finished outside the telemetry scope feed nothing.
+        drop(TraceSpan::root(&sink, "unscoped"));
         assert_eq!(
             ctx.registry()
-                .histogram("olap_span_nanos", &[("span", "kernel_exec")])
+                .histogram("olap_span_nanos", &[("span", "unscoped")])
                 .count(),
-            1
+            0
         );
-        let names: Vec<&str> = sub.spans().iter().map(|s| s.0).collect();
-        assert_eq!(names, vec!["kernel_exec", "serve_query"]);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 
 use olap_cube::array::{DenseArray, Region, Shape};
 use olap_cube::engine::{
-    AdaptiveRouter, CubeIndex, EngineOp, IndexConfig, NaiveEngine, Parallelism, PrefixChoice,
-    RangeEngine, SumTreeEngine,
+    AdaptiveRouter, CubeIndex, EngineOp, IndexConfig, NaiveEngine, PrefixChoice, RangeEngine,
+    SumTreeEngine,
 };
 use olap_cube::query::{EngineKind, QueryLog, RangeQuery};
 use olap_cube::workload::{sided_regions, uniform_cube, uniform_regions};
@@ -28,7 +28,6 @@ fn engines(a: &DenseArray<i64>) -> Vec<Box<dyn RangeEngine<i64>>> {
         max_tree_fanout: None,
         min_tree_fanout: None,
         sum_tree_fanout: sum_tree,
-        parallelism: Parallelism::Sequential,
         ..IndexConfig::default()
     };
     vec![
